@@ -58,8 +58,9 @@ SnapOverlay::SnapOverlay(Config config) : config_(std::move(config)) {
 
 SnapOverlay::~SnapOverlay() { release(); }
 
-Status SnapOverlay::arm(const std::vector<Region>& regions) {
-  if (armed_.load(std::memory_order_acquire)) {
+Status SnapOverlay::arm(const std::vector<Region>& regions,
+                        const std::function<Status()>& protect) {
+  if (phase_.load(std::memory_order_acquire) != kDisarmed) {
     return FailedPrecondition("snapshot overlay is already armed");
   }
   // A previous release() already drained in-flight callers; a fresh arm
@@ -134,16 +135,34 @@ Status SnapOverlay::arm(const std::vector<Region>& regions) {
   peak_slots_.store(0, std::memory_order_relaxed);
   spilled_chunks_.store(0, std::memory_order_relaxed);
   writer_stalls_.store(0, std::memory_order_relaxed);
+  arming_waits_.store(0, std::memory_order_relaxed);
   overlay_reads_.store(0, std::memory_order_relaxed);
   origin_reads_.store(0, std::memory_order_relaxed);
   exhausted_.store(false, std::memory_order_relaxed);
 
-  armed_.store(true, std::memory_order_release);
+  // ARMING: the tables are visible to writers, which from here on park in
+  // wait_out_arming() until the protect step has closed every path a write
+  // could take without passing through copy_before_write.
+  phase_.store(kArming, std::memory_order_release);
+  if (protect) {
+    Status protect_status = protect();
+    if (!protect_status.ok()) {
+      release();
+      return protect_status;
+    }
+  }
+  // Publish the snapshot instant. A CAS, not a store: a release() that
+  // raced the protect step has already torn the tables down.
+  std::uint8_t arming = kArming;
+  if (!phase_.compare_exchange_strong(arming, kArmed,
+                                      std::memory_order_acq_rel)) {
+    return FailedPrecondition("snapshot overlay released while arming");
+  }
   return OkStatus();
 }
 
 void SnapOverlay::release() {
-  if (!armed_.exchange(false, std::memory_order_acq_rel)) {
+  if (phase_.exchange(kDisarmed, std::memory_order_acq_rel) == kDisarmed) {
     // Not armed — but a failed arm() can leave the overflow fd open.
     if (overflow_fd_ >= 0) {
       ::close(overflow_fd_);
@@ -151,7 +170,7 @@ void SnapOverlay::release() {
     }
     return;
   }
-  // Writers parked on exhaustion exit their stall loop on armed_ == false
+  // Writers parked on exhaustion or on ARMING exit their wait on DISARMED
   // and then drop inflight_, so this drain cannot deadlock. Until it
   // reaches zero, stragglers may still touch state_/slab_/overflow_fd_.
   while (inflight_.load(std::memory_order_acquire) != 0) park_briefly();
@@ -228,7 +247,18 @@ bool SnapOverlay::store_pre_image(std::uint32_t slot, const std::byte* origin,
 
 void SnapOverlay::stall_until_released() noexcept {
   writer_stalls_.fetch_add(1, std::memory_order_relaxed);
-  while (armed_.load(std::memory_order_acquire)) park_briefly();
+  while (armed()) park_briefly();
+}
+
+SnapOverlay::Phase SnapOverlay::wait_out_arming() noexcept {
+  auto phase = static_cast<Phase>(phase_.load(std::memory_order_acquire));
+  if (phase != kArming) return phase;
+  arming_waits_.fetch_add(1, std::memory_order_relaxed);
+  while (phase == kArming) {
+    park_briefly();
+    phase = static_cast<Phase>(phase_.load(std::memory_order_acquire));
+  }
+  return phase;
 }
 
 void SnapOverlay::preserve_chunk(const TrackedRegion& region,
@@ -241,7 +271,7 @@ void SnapOverlay::preserve_chunk(const TrackedRegion& region,
       // Another writer is preserving, or the capture holds the origin.
       // Either way the chunk resolves without our help; wait it out.
       // (A READING chunk returns to CLEAN and we retry the claim.)
-      if (!armed_.load(std::memory_order_acquire)) return;
+      if (!armed()) return;
       park_briefly();
       continue;
     }
@@ -290,17 +320,18 @@ void SnapOverlay::preserve_chunk(const TrackedRegion& region,
 
 void SnapOverlay::copy_before_write(const void* p, std::size_t n) noexcept {
   if (n == 0) return;
-  if (!armed_.load(std::memory_order_acquire)) return;
+  if (phase_.load(std::memory_order_acquire) == kDisarmed) return;
   // The capture's own internal origin reads fault through UvmManager and
   // would otherwise re-enter here via note_write-style hooks; those reads
   // never mutate, so they owe no preserve.
   if (in_passthrough()) return;
 
   inflight_.fetch_add(1, std::memory_order_acq_rel);
-  // Re-check under the in-flight gate: release() orders armed_ = false
-  // before its drain, so either we see the store and leave, or release()
-  // sees our increment and waits for us.
-  if (!armed_.load(std::memory_order_acquire)) {
+  // Re-check under the in-flight gate: release() orders DISARMED before
+  // its drain, so either we see the store and leave, or release() sees our
+  // increment and waits for us. A writer that arrived during ARMING parks
+  // here and preserves once ARMED is published.
+  if (wait_out_arming() != kArmed) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
     return;
   }
@@ -327,7 +358,7 @@ void SnapOverlay::copy_before_write(const void* p, std::size_t n) noexcept {
         (span_end - 1 - region->base) / config_.chunk_bytes);
     for (std::size_t c = first; c <= last; ++c) {
       preserve_chunk(*region, c);
-      if (!armed_.load(std::memory_order_acquire)) {
+      if (!armed()) {
         inflight_.fetch_sub(1, std::memory_order_acq_rel);
         return;
       }
@@ -402,13 +433,13 @@ Status SnapOverlay::serve_chunk(const TrackedRegion& region, std::size_t chunk,
 
 Status SnapOverlay::read_range(const void* p, std::size_t n, void* out) {
   if (n == 0) return OkStatus();
-  if (!armed_.load(std::memory_order_acquire)) {
+  if (!armed()) {
     PassthroughScope scope;
     std::memcpy(out, p, n);
     return OkStatus();
   }
   inflight_.fetch_add(1, std::memory_order_acq_rel);
-  if (!armed_.load(std::memory_order_acquire)) {
+  if (!armed()) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
     PassthroughScope scope;
     std::memcpy(out, p, n);
@@ -449,6 +480,7 @@ SnapOverlay::Stats SnapOverlay::stats() const {
       peak_slots_.load(std::memory_order_relaxed) * config_.chunk_bytes;
   s.spilled_chunks = spilled_chunks_.load(std::memory_order_relaxed);
   s.writer_stalls = writer_stalls_.load(std::memory_order_relaxed);
+  s.arming_waits = arming_waits_.load(std::memory_order_relaxed);
   s.overlay_reads = overlay_reads_.load(std::memory_order_relaxed);
   s.origin_reads = origin_reads_.load(std::memory_order_relaxed);
   s.exhausted = exhausted_.load(std::memory_order_relaxed);

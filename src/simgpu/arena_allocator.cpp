@@ -47,42 +47,65 @@ Result<void*> ArenaAllocator::allocate(std::size_t bytes) {
                        "-byte arena reservation");
   }
 
-  std::lock_guard<std::mutex> lock(mu_);
-
-  // Deterministic first fit: lowest-address free block that fits.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    for (auto it = free_by_addr_.begin(); it != free_by_addr_.end(); ++it) {
-      if (it->second < need) continue;
-      const std::uintptr_t addr = it->first;
-      const std::size_t block = it->second;
-      free_by_addr_.erase(it);
-      if (block > need) {
-        free_by_addr_.emplace(addr + need, block - need);
+  void* p = nullptr;
+  ckpt::SnapOverlay* overlay = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Deterministic first fit: lowest-address free block that fits.
+    for (int attempt = 0; attempt < 2 && p == nullptr; ++attempt) {
+      for (auto it = free_by_addr_.begin(); it != free_by_addr_.end(); ++it) {
+        if (it->second < need) continue;
+        const std::uintptr_t addr = it->first;
+        const std::size_t block = it->second;
+        free_by_addr_.erase(it);
+        if (block > need) {
+          free_by_addr_.emplace(addr + need, block - need);
+        }
+        p = reinterpret_cast<void*>(addr);
+        active_.emplace(p, need);
+        active_bytes_ += need;
+        // The allocation's contents are fresh state a base checkpoint has
+        // never seen — dirty by definition.
+        if (dirty_ != nullptr) dirty_->mark(p, need);
+        overlay = overlay_;
+        break;
       }
-      auto* p = reinterpret_cast<void*>(addr);
-      active_.emplace(p, need);
-      active_bytes_ += need;
-      // Under an armed snapshot the hole being carved may hold bytes of a
-      // frozen allocation (capture reads at chunk granularity, and a chunk
-      // can straddle a freed hole and a live neighbour). Preserve before
-      // the caller's first write lands. The capture never allocates from
-      // this arena post-freeze, so stalling here with mu_ held cannot
-      // deadlock the drain.
-      if (overlay_ != nullptr) overlay_->copy_before_write(p, need);
-      // The allocation's contents are fresh state a base checkpoint has
-      // never seen — dirty by definition.
-      if (dirty_ != nullptr) dirty_->mark(p, need);
-      return p;
-    }
-    if (attempt == 0) {
-      Status grown = grow_locked(need);
-      if (!grown.ok()) return grown;
+      if (p == nullptr && attempt == 0) {
+        Status grown = grow_locked(need);
+        if (!grown.ok()) return grown;
+      }
     }
   }
-  return OutOfMemory(config_.purpose + " arena exhausted");
+  if (p == nullptr) return OutOfMemory(config_.purpose + " arena exhausted");
+  // Under an armed snapshot the hole just carved may hold bytes of a frozen
+  // allocation (capture reads at chunk granularity, and a chunk can
+  // straddle a freed hole and a live neighbour). Preserve before the
+  // caller's first write lands — and outside mu_: the preserve may park
+  // (until the overlay publishes ARMED, or on exhaustion until release),
+  // and arming reads this arena's allocation table. Nobody else can reach
+  // [p, p+need) before it is returned.
+  if (overlay != nullptr) overlay->copy_before_write(p, need);
+  return p;
 }
 
 Status ArenaAllocator::free(void* p) {
+  // A frozen capture still owes these bytes to the image (the allocation
+  // was live at the freeze instant); preserve before the hole is reused.
+  // Outside mu_ for the reason allocate() gives, and while p is still
+  // active, so the maps never show it half-freed.
+  {
+    ckpt::SnapOverlay* overlay = nullptr;
+    std::size_t size = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = active_.find(p);
+      if (it != active_.end()) {
+        overlay = overlay_;
+        size = it->second;
+      }
+    }
+    if (overlay != nullptr) overlay->copy_before_write(p, size);
+  }
   std::lock_guard<std::mutex> lock(mu_);
   auto it = active_.find(p);
   if (it == active_.end()) {
@@ -91,9 +114,6 @@ Status ArenaAllocator::free(void* p) {
   const std::size_t size = it->second;
   active_.erase(it);
   active_bytes_ -= size;
-  // A frozen capture still owes these bytes to the image (the allocation
-  // was live at the freeze instant); preserve before the hole is reused.
-  if (overlay_ != nullptr) overlay_->copy_before_write(p, size);
   // Freed space re-enters circulation with indeterminate contents; any
   // later allocation reusing it must read as dirty.
   if (dirty_ != nullptr) dirty_->mark(p, size);

@@ -73,8 +73,10 @@ class ArenaAllocator {
   ckpt::DirtyTracker* dirty_tracker() const;
 
   // Attaches a COW snapshot overlay: allocate/free preserve the pre-image
-  // of the ranges they are about to repurpose before mutating allocator
-  // maps, so a capture armed mid-stream still reads the frozen bytes.
+  // of the ranges they are about to repurpose before the range can be
+  // written (allocate returns it, free puts the hole back on the free
+  // list), so a capture armed mid-stream still reads the frozen bytes. The
+  // preserve runs outside the allocator lock, since it may park.
   // (Allocation itself writes no payload bytes, but the returned range is
   // about to be written by the caller and freed holes may be re-carved —
   // preserving at the allocator boundary is the conservative hook that

@@ -163,16 +163,13 @@ Status Device::arm_snapshot() {
   regions.push_back(
       {reinterpret_cast<std::uintptr_t>(uvm_->arena_base()),
        config_.managed_capacity});
-  CRAC_RETURN_IF_ERROR(snap_overlay_->arm(regions));
-  // Re-protect every managed page so the first post-freeze write faults
-  // into the preserve path. Without this, a page left writable by an
-  // earlier fault epoch could be mutated invisibly under the snapshot.
-  Status armed = uvm_->arm_all();
-  if (!armed.ok()) {
-    snap_overlay_->release();
-    return armed;
-  }
-  return OkStatus();
+  // The protect step runs while the overlay is ARMING (armed() still
+  // false): re-protect every managed page so the first post-freeze write
+  // faults into the preserve path. Without it, a page left writable by an
+  // earlier fault epoch could be mutated invisibly under the snapshot; run
+  // after publishing, it would leave exactly that window open. Writes that
+  // arrive meanwhile park until ARMED, and a failure releases the overlay.
+  return snap_overlay_->arm(regions, [this] { return uvm_->arm_all(); });
 }
 
 void Device::release_snapshot() { snap_overlay_->release(); }

@@ -87,10 +87,14 @@ class Device {
   void note_write(const void* p, std::size_t n) noexcept;
 
   // --- copy-on-write snapshot capture ---
-  // Arms the overlay over all three arenas' full reservations and re-arms
-  // UVM protection so every first write faults (and preserves). Call with
-  // the world stopped (streams drained); on return the application may
-  // resume while the capture reads the frozen state via snap_overlay().
+  // Arms the overlay over all three arenas' full reservations in two
+  // phases: the overlay enters ARMING, UVM protection is re-armed so every
+  // first write faults (and preserves), and only then is ARMED published —
+  // snap_overlay().armed() turns true with every managed page already
+  // protected. Writes that reach the overlay during ARMING park until
+  // ARMED and then preserve. Call with the world stopped (streams
+  // drained); on return the application may resume while the capture
+  // reads the frozen state via snap_overlay().
   Status arm_snapshot();
   void release_snapshot();
   ckpt::SnapOverlay& snap_overlay() noexcept { return *snap_overlay_; }

@@ -205,11 +205,18 @@ bool UvmManager::handle_fault(void* addr, bool device_context) noexcept {
   }
 
   // Under an armed snapshot the unprotect below makes the page writable, so
-  // its frozen bytes must reach the snapstore first. The preserve's own
-  // origin read re-faults on this same (still PROT_NONE) page; SA_NODEFER
-  // delivers the nested SIGSEGV and the passthrough branch above resolves
-  // it with a read-only unprotect.
+  // its frozen bytes must reach the snapstore first. Grant read access
+  // before the preserve so its origin read does not re-fault inside this
+  // handler: a nested SIGSEGV relies on SA_NODEFER reaching the handler
+  // unmasked, which not every runtime honours (ThreadSanitizer's signal
+  // interception does not, and the process dies). Racing writers still
+  // fault and take the second-faulter path above; readers see frozen
+  // bytes either way. (A preserve that spans further, still PROT_NONE
+  // pages falls back on the nested fault and the passthrough branch.)
   if (auto* overlay = overlay_.load(std::memory_order_acquire)) {
+    if (overlay->arming_or_armed()) {
+      (void)::mprotect(page_base(index), config_.page_size, PROT_READ);
+    }
     overlay->copy_before_write(page_base(index), config_.page_size);
   }
 

@@ -1,17 +1,23 @@
 // Rolling ring-migration scenario: N proxy endpoints (each a forked server
 // process), endpoint i ships its device state to endpoint i+1 while
 // endpoint i-1 is shipping into endpoint i — concurrent SHIP_CKPT and
-// RECV_CKPT traffic on one process, around a full ring.
+// RECV_CKPT traffic across the ring, every edge in flight at once.
 //
-// Deadlock discipline: ship_checkpoint and recv_checkpoint each hold their
-// endpoint's RPC lock for the whole stream, so a ring of blocking verbs can
-// cycle-wait. Two rules break the cycle without breaking the overlap:
+// On one endpoint the two verbs do NOT overlap: ship_checkpoint and
+// recv_checkpoint each hold that endpoint's RPC lock for the whole stream,
+// so they serialize, in whichever order their threads take the lock. The
+// rotation needs ship-then-recv on every endpoint — a recv that wins the
+// lock first overwrites the state before it is shipped, and the successor
+// then receives the predecessor's bytes instead. Three rules give that
+// order without a cycle-wait:
 //   * each ring edge is a socketpair whose kernel buffer absorbs an entire
 //     shipment, so a ship never blocks on its successor's recv;
+//   * each recv waits until its own endpoint's ship has returned, so the
+//     state it replaces has already left;
 //   * each recv gates on POLLIN before taking its lock, so it only starts
 //     once its predecessor's ship is already streaming.
-// With those, recv(i) drains ship(i-1) concurrently with ship(i) filling
-// its edge — the advertised overlap, deterministically deadlock-free.
+// With those, recv(i) drains ship(i-1) concurrently with ship(j) filling
+// other edges — overlap across endpoints, deterministically deadlock-free.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -20,6 +26,7 @@
 
 #include <array>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -77,14 +84,17 @@ void rotate_ring(std::array<std::unique_ptr<ProxyClientApi>, kRingSize>& ring) {
 
   std::array<Status, kRingSize> ship_st;
   std::array<Status, kRingSize> recv_st;
+  std::array<std::promise<void>, kRingSize> shipped;  // ship i returned
   std::vector<std::thread> shippers, receivers;
   for (int i = 0; i < kRingSize; ++i) {
     shippers.emplace_back([&, i] {
       ship_st[i] = ring[i]->ship_checkpoint(edge[i][1]);
       ::close(edge[i][1]);
+      shipped[i].set_value();
     });
     receivers.emplace_back([&, i] {
       const int src = edge[(i + kRingSize - 1) % kRingSize][0];
+      shipped[i].get_future().wait();
       wait_readable(src);
       recv_st[i] = ring[i]->recv_checkpoint(src);
     });

@@ -1,14 +1,15 @@
 // COW snapshot-overlay tests, in three rings:
 //
 //   * SnapOverlayTest — the SnapOverlay state machine over plain heap
-//     buffers: arm/release lifecycle, pre-image preservation, the
-//     overflow-file spill, exhaustion backpressure, and a multi-threaded
-//     writers-vs-capture property check. No Device, no fixed VA — these run
-//     everywhere, including under TSan.
+//     buffers: arm/release lifecycle, the two-phase ARMING -> ARMED
+//     publish, pre-image preservation, the overflow-file spill, exhaustion
+//     backpressure, and a multi-threaded writers-vs-capture property
+//     check. No Device, no fixed VA — these run everywhere, including
+//     under TSan.
 //   * DeviceSnapshotTest — the overlay wired through a real sim::Device
 //     (kernel-chosen VA bases): racing mutators on the arena, UVM, and
 //     stream paths while the capture reads the frozen state through the
-//     overlay.
+//     overlay, and a managed free racing the arm's protect step.
 //   * SnapshotCracContextTest — the acceptance property on a full
 //     CracContext (fixed VA, one context alive per process, excluded from
 //     TSan runs by the *CracContext* name): a COW capture taken while
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -82,6 +84,70 @@ TEST(SnapOverlayTest, ArmIsExclusiveAndReleaseIsIdempotent) {
   // Re-arm after release starts a fresh snapshot with fresh stats.
   ASSERT_TRUE(overlay.arm(one_region(buf.data(), buf.size())).ok());
   EXPECT_EQ(overlay.stats().chunks_preserved, 0u);
+  overlay.release();
+}
+
+TEST(SnapOverlayTest, WriterDuringArmingParksUntilPublishThenPreserves) {
+  // A write that reaches the overlay while the protect step is still
+  // running must neither slip through unpreserved nor preserve early: it
+  // parks, and its pre-image is taken once ARMED is published.
+  std::vector<std::byte> buf = testlib::random_bytes(4 * kChunk, 51);
+  const std::vector<std::byte> frozen = buf;
+  ckpt::SnapOverlay overlay(tiny_config(4, 0));
+
+  std::atomic<bool> writer_returned{false};
+  std::thread writer;
+  const Status st = overlay.arm(one_region(buf.data(), buf.size()), [&] {
+    EXPECT_FALSE(overlay.armed());  // ARMING does not count as armed
+    writer = std::thread([&] {
+      overlay.copy_before_write(buf.data() + kChunk, kChunk);
+      writer_returned.store(true);
+      std::memset(buf.data() + kChunk, 0xEE, kChunk);
+    });
+    while (overlay.stats().arming_waits == 0) std::this_thread::yield();
+    // However long the protect step takes, the writer stays parked.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(writer_returned.load()) << "returned before ARMED";
+    return OkStatus();
+  });
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  EXPECT_TRUE(overlay.armed());
+  writer.join();
+  EXPECT_TRUE(writer_returned.load());
+
+  std::vector<std::byte> out(buf.size());
+  ASSERT_TRUE(overlay.read_range(buf.data(), buf.size(), out.data()).ok());
+  EXPECT_EQ(out, frozen);  // the pre-image, not the writer's 0xEE
+
+  const auto stats = overlay.stats();
+  EXPECT_EQ(stats.arming_waits, 1u);
+  EXPECT_EQ(stats.chunks_preserved, 1u);
+  overlay.release();
+  EXPECT_EQ(buf[kChunk], std::byte{0xEE});
+}
+
+TEST(SnapOverlayTest, FailedProtectReleasesAndWakesArmingWriters) {
+  std::vector<std::byte> buf = testlib::random_bytes(2 * kChunk, 52);
+  ckpt::SnapOverlay overlay(tiny_config(2, 0));
+
+  std::thread writer;
+  const Status st = overlay.arm(one_region(buf.data(), buf.size()), [&] {
+    // A second arm while ARMING is refused like one while ARMED.
+    EXPECT_EQ(overlay.arm(one_region(buf.data(), buf.size())).code(),
+              StatusCode::kFailedPrecondition);
+    writer = std::thread(
+        [&] { overlay.copy_before_write(buf.data(), kChunk); });
+    while (overlay.stats().arming_waits == 0) std::this_thread::yield();
+    return IoError("protect failed");
+  });
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
+  EXPECT_FALSE(overlay.armed());
+  writer.join();  // woken by the release, with nothing preserved
+  EXPECT_EQ(overlay.stats().chunks_preserved, 0u);
+
+  // The failed arm left the overlay reusable.
+  ASSERT_TRUE(overlay.arm(one_region(buf.data(), buf.size())).ok());
+  EXPECT_TRUE(overlay.armed());
   overlay.release();
 }
 
@@ -322,6 +388,42 @@ TEST(DeviceSnapshotTest, ArmedCaptureIsFrozenUnderRacingMutators) {
                               sim::MemcpyKind::kDeviceToHost).ok());
   EXPECT_NE(out, dev_frozen);
   EXPECT_EQ(out[0], std::byte{0x5F});
+}
+
+TEST(DeviceSnapshotTest, ManagedFreeDuringArmingDoesNotBlockProtect) {
+  // A managed free that reaches the overlay while it is ARMING parks until
+  // ARMED. The protect step (UvmManager::arm_all) reads the managed
+  // arena's allocation table meanwhile, so the parked free must not be
+  // holding the arena lock — or arming never finishes.
+  sim::DeviceConfig cfg = device_config();
+  sim::Device dev(cfg);
+  constexpr std::size_t kMngBytes = 256 << 10;
+  auto m = dev.malloc_managed(kMngBytes);
+  ASSERT_TRUE(m.ok());
+  std::memset(*m, 0x4D, kMngBytes);
+  const std::vector<std::byte> frozen(kMngBytes, std::byte{0x4D});
+
+  std::thread freer;
+  const Status st = dev.snap_overlay().arm(
+      {{reinterpret_cast<std::uintptr_t>(dev.uvm().arena_base()),
+        cfg.managed_capacity}},
+      [&] {
+        freer = std::thread([&] { EXPECT_TRUE(dev.free_any(*m).ok()); });
+        while (dev.snap_overlay().stats().arming_waits == 0) {
+          std::this_thread::yield();
+        }
+        return dev.uvm().arm_all();
+      });
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  freer.join();
+
+  // The freed allocation was live at the instant: the capture still owes
+  // (and gets) its bytes.
+  std::vector<std::byte> out(kMngBytes);
+  ASSERT_TRUE(dev.snap_overlay().read_range(*m, kMngBytes, out.data()).ok());
+  EXPECT_EQ(out, frozen);
+  EXPECT_GT(dev.snap_overlay().stats().chunks_preserved, 0u);
+  dev.release_snapshot();
 }
 
 TEST(DeviceSnapshotTest, ReleaseSnapshotIsIdempotentOnDevice) {
